@@ -186,13 +186,40 @@ def root_panel() -> dict:
     return metrics
 
 
+def failing_fiber() -> dict:
+    """The fiber_scan input kept out of the timed loop because a root solve
+    fails on it: its time under the tracer, the NonConvergence raised in
+    ``polynomial_roots`` and the branches the CLI dropped."""
+    import tracing
+    from split244 import oracle
+    from workloads import FAILING_FIBER, FiberScan, fiber_case
+
+    scan, case = FiberScan(), fiber_case(*FAILING_FIBER)
+    tracer = tracing.Tracer()
+    tracer.install(oracle.DEFAULT_INVOLUTION_TOL)
+    tracer.active = True
+    try:
+        start = time.perf_counter()
+        out = scan.call(case)
+        elapsed = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    return {
+        "cli.main.failing_fiber_ms": (1e3 * elapsed, "ms"),
+        "cli.main.failing_fiber_nonconvergence": (tracer.layer_metrics()["oracle.polynomial_roots"]["failed"], "count"),
+        "cli.main.failing_fiber_dropped": (len(scan.dropped(case, scan.rows(out))), "count"),
+    }
+
+
 def traced_run(workload, seed: int, seconds: float) -> tuple:
-    """The root panel, then inputs for half the time, each run untraced and
-    traced; the ratio of the two busy times is the tracing overhead."""
+    """The root panel and the failing fiber, then inputs for half the time,
+    each run untraced and traced; the ratio of the two busy times is the
+    tracing overhead."""
     import tracing
     from split244 import oracle
 
     metrics = root_panel()
+    metrics.update(failing_fiber())
     tracer = tracing.Tracer()
     tracer.install(oracle.DEFAULT_INVOLUTION_TOL)
     try:

@@ -54,6 +54,23 @@ def _mpq(x: F):
     return mp.mpf(x.numerator) / x.denominator
 
 
+def _even_points(rng: random.Random, sizes: tuple):
+    """Endless tuples of grid indices, index k in range(sizes[k]), from an
+    additive recurrence with a seeded start (Roberts' R_d sequence).  Any
+    stretch of consecutive points covers the grid evenly, so the mix of
+    cheap and costly inputs in a run hardly depends on the seed, as it does
+    with independent draws: the cost of an input drifts along its grid (a
+    uv_roundtrip sextic's nearly doubles from u = 0 to |u| = 15)."""
+    g = 2.0
+    for _ in range(60):
+        g = (1 + g) ** (1 / (len(sizes) + 1))
+    steps = [g ** -(k + 1) for k in range(len(sizes))]
+    x = [rng.random() for _ in sizes]
+    while True:
+        yield tuple(int(n * t) for n, t in zip(sizes, x))
+        x = [(t + step) % 1.0 for t, step in zip(x, steps)]
+
+
 def _draw_rational(rng: random.Random) -> F:
     # The acceptance tests' draw for curve coefficients.
     return F(rng.randint(-30, 30), rng.randint(1, 6))
@@ -112,7 +129,11 @@ class AnalyzeCurves:
     name = "analyze_curves"
     round_size = 3
     chunk = 300
-    tail_pct = 98
+    # Not p98 or p99, the highest with ten samples beyond them: on a shared
+    # host, some runs have a burst in which 2-4% of the inputs, drawn at
+    # random, take 50% longer in CPU time, and others have none, so p98
+    # moved by up to 50% between runs of the same inputs; p95 lies below it.
+    tail_pct = 95
 
     def cases(self, seed: int):
         rng = random.Random(seed)
@@ -201,7 +222,7 @@ def _check_anchor(report: dict):
 # from 6e4) or fail (from 5e5), and whether they do changes from one grid
 # point to the next: one such input costs as much as twenty others, which
 # would make a run's cost a function of the seed.  The clustered cases are
-# fiber_scan's fixed fiber and the root panel.
+# fiber_scan's fixed fibers and the root panel.
 WELL_CONDITIONED = 3e4
 
 
@@ -267,9 +288,8 @@ class UVRoundtrip:
     tail_pct = 85
 
     def cases(self, seed: int):
-        rng = random.Random(seed)
-        while True:
-            case = uv_case(F(rng.randint(-240, 240), 12), F(rng.randint(-240, 240), 12))
+        for i, j in _even_points(random.Random(seed), (481, 481)):
+            case = uv_case(F(i - 240, 12), F(j - 240, 12))
             if case is not None and case.condition <= WELL_CONDITIONED:
                 yield case
 
@@ -379,17 +399,21 @@ ROW_RESIDUAL = 1e-12
 VERDICTS = ("isomorphic", "distinct", "singular", "no-lift", "no-involution", "error")
 
 
-# The first fiber of `family --component g5` over the CLI's default window.
 # Over g3 and g5 the roots of F1 in s3 are clustered, with condition
-# numbers from 1e6 to 1e9, and whether a solve fails after three escalations
-# changes from one grid point to the next: a seeded g3 or g5 fiber costs
-# anything from 1 s to 13 s, which would make the throughput a function of
-# the seed.  This fiber is fixed instead, and every run pays for it: one of
-# its four F1 solves fails, and the CLI silently drops that branch's rows.
-# (The g3 fiber there fails twice, but at twice the cost it leaves the
-# seeded scan less of the run, and the run's throughput then swings more
-# with the machine's speed.)
-CLUSTERED_FIBER = ("g5", F(-10))
+# numbers from 1e6 to 1e9, and whether a solve converges at once, converges
+# after an escalation of precision or fails after three changes from one
+# grid point to the next: a seeded g3 or g5 fiber costs anything from 1 s to
+# 13 s, which would make the throughput a function of the seed.  Two fibers
+# there are fixed instead.  Every fiber_scan run starts with
+# ESCALATING_FIBER, one of whose F1 solves converges only at doubled
+# precision; no solve there fails.  FAILING_FIBER, the first fiber of
+# `family --component g5` over the CLI's default window, is the traced run's
+# probe of the failing path: one of its four F1 solves fails after three
+# escalations, and the CLI silently drops that branch's rows.  It is kept out
+# of the timed loop, where it would be a failed operation in every run, and
+# reported as per-layer metrics instead.
+ESCALATING_FIBER = ("g5", F(3, 4))
+FAILING_FIBER = ("g5", F(-10))
 # The seed draws fibers of these components, and keeps the well-conditioned
 # ones: no solve fails there.
 SEEDED_COMPONENTS = ("g1", "g2", "g4")
@@ -398,7 +422,7 @@ SEEDED_COMPONENTS = ("g1", "g2", "g4")
 class FiberScan:
     """``cli.main(["family", ...])`` in-process on single fibers: one sample
     in a window narrower than 1 pins s2.  Every run starts with the fixed
-    clustered fiber, then scans seeded well-conditioned fibers of g1, g2
+    escalating fiber, then scans seeded well-conditioned fibers of g1, g2
     and g4, in turn, at seeded s2 on the CLI's 1/12 grid of its default
     window [-10, 10]."""
 
@@ -408,11 +432,12 @@ class FiberScan:
     tail_pct = 88
 
     def cases(self, seed: int):
-        yield fiber_case(*CLUSTERED_FIBER)
+        yield fiber_case(*ESCALATING_FIBER)
         rng = random.Random(seed)
+        grids = {component: _even_points(rng, (241,)) for component in SEEDED_COMPONENTS}
         for component in itertools.cycle(SEEDED_COMPONENTS):
-            while True:
-                case = fiber_case(component, F(rng.randint(-120, 120), 12))
+            for (i,) in grids[component]:
+                case = fiber_case(component, F(i - 120, 12))
                 if case.condition <= WELL_CONDITIONED:
                     yield case
                     break
@@ -445,13 +470,20 @@ class FiberScan:
             for row in rows:
                 if str(row.get("detail", "")).startswith(NonConvergence.__name__):
                     return FAILED, f"NonConvergence at row {row['index']}"
-            for s4, real in case.branches:
-                emitted = any(
-                    abs(_parse(row["s4"]) - s4) <= 1e-10 * (1 + abs(s4)) for row in rows
-                )
-                if real and not emitted:
-                    return FAILED, f"fiber s4 = {mp.nstr(s4, 17)} dropped: {real} real s3 roots, no rows"
+        dropped = self.dropped(case, rows)
+        if dropped:
+            s4, real = dropped[0]
+            return FAILED, f"fiber s4 = {mp.nstr(s4, 17)} dropped: {real} real s3 roots, no rows"
         return None
+
+    @staticmethod
+    def dropped(case: FiberCase, rows: list) -> list:
+        """The real s4 branches with real s3 roots for which no row came."""
+        with mp.workprec(REF_BITS):
+            return [
+                (s4, real) for s4, real in case.branches
+                if real and not any(abs(_parse(row["s4"]) - s4) <= 1e-10 * (1 + abs(s4)) for row in rows)
+            ]
 
 
 def _parse(text: str):
