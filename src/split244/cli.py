@@ -241,26 +241,28 @@ def _component_s4_values(name: str, s2: Fraction, bits: Optional[int]) -> list:
 
 
 def _f1_s3_values(s2, s4, bits: Optional[int]) -> list:
-    if isinstance(s2, Fraction) and isinstance(s4, Fraction):
-        restricted = F1_POLY.restrict(1, (s2, s4))
-        if restricted.degree < 1:
-            return []
-        try:
-            return _distinct_real_roots(restricted, bits)
-        except NonConvergence:
-            return []
-    with mp.workprec(oracle.precision_bits(bits) + 16):
-        coeffs: dict[int, Any] = {}
-        for (e2, e3, e4), c in F1_POLY.terms.items():
-            term = oracle._to_mp(c) * oracle._to_mp(s2) ** e2 * oracle._to_mp(s4) ** e4
-            coeffs[e3] = coeffs.get(e3, mp.mpf(0)) + term
-        top = max(coeffs)
-        dense = [coeffs.get(i, mp.mpf(0)) for i in range(top + 1)]
     try:
+        if isinstance(s2, Fraction) and isinstance(s4, Fraction):
+            restricted = F1_POLY.restrict(1, (s2, s4))
+            if restricted.degree < 1:
+                return []
+            return _distinct_real_roots(restricted, bits)
+        with mp.workprec(oracle.precision_bits(bits) + 16):
+            coeffs: dict[int, Any] = {}
+            for (e2, e3, e4), c in F1_POLY.terms.items():
+                term = oracle._to_mp(c) * oracle._to_mp(s2) ** e2 * oracle._to_mp(s4) ** e4
+                coeffs[e3] = coeffs.get(e3, mp.mpf(0)) + term
+            top = max(coeffs)
+            dense = [coeffs.get(i, mp.mpf(0)) for i in range(top + 1)]
         return _real_roots(dense, bits)
-    except NonConvergence:
+    except NonConvergence as exc:
         # A rounded point of the component can leave root clusters too
-        # tight to separate; skip the sample rather than guess.
+        # tight to separate; skip the fiber rather than guess, and say so.
+        print(
+            f"split244: family: skipped fiber s2={_serialize(s2)} "
+            f"s4={_serialize(s4)}: NonConvergence: {exc}",
+            file=sys.stderr,
+        )
         return []
 
 

@@ -9,7 +9,9 @@ vocabulary with the exact modules is curve coefficients and reported values.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,52 +110,115 @@ class ComplexApprox:
 
 
 def _horner(cs, z):
-    acc = mp.mpc(0)
+    acc = 0 * z
     for c in reversed(cs):
         acc = acc * z + c
     return acc
 
 
-def _aberth(cs, bits: int, offset: float):
-    """Simultaneous root iteration on a polynomial with nonzero constant and
-    leading coefficients, ascending coefficients cs, at the given precision.
-    Deterministic: initial points sit on a circle inside the Cauchy bound at
-    a fixed angular offset. Returns the converged approximations or None."""
-    n = len(cs) - 1
-    with mp.workprec(bits + 16):
-        lead = cs[-1]
-        monic = [c / lead for c in cs]
-        dmonic = [i * c for i, c in enumerate(monic)][1:]
-        bound = 1 + max(abs(c) for c in monic[:-1])
-        radius = mp.mpf(0.8) * bound
-        z = [
-            radius * mp.exp(mp.mpc(0, 2 * mp.pi * j / n + offset))
-            for j in range(n)
-        ]
-        stop = mp.mpf(2) ** (-(bits + 8))
-        for _ in range(ITERATION_CAP):
-            worst = mp.mpf(0)
-            for j in range(n):
-                pj = _horner(monic, z[j])
+# A root is accepted once its backward error is at most this many units of
+# n * eps of the size of p's terms at it (Bini 1996).  4 clears the rounding
+# noise of a double-precision Horner sum, which is at most 2 n eps of that
+# size.
+_BACKWARD_SLACK = 4
+
+
+def _iterate(monic, z, eps) -> bool:
+    """Gauss-Seidel Aberth sweeps on z in place, in whatever arithmetic
+    monic, z and the unit roundoff eps carry (complex or mpmath).  A root
+    whose backward error passes |p(z)| <= c n eps sum |a_i| |z|^i is no
+    longer moved; once every root has passed, one more full sweep polishes
+    them all.  Returns whether that happened within ITERATION_CAP sweeps."""
+    dmonic = [i * c for i, c in enumerate(monic)][1:]
+    sizes = [abs(c) for c in monic]
+    tol = _BACKWARD_SLACK * len(z) * eps
+    values = [None] * len(z)
+    pending = range(len(z))
+    for _ in range(ITERATION_CAP):
+        still = []
+        for j in pending:
+            zj = z[j]
+            values[j] = pj = _horner(monic, zj)
+            if abs(pj) <= tol * _horner(sizes, abs(zj)):
+                continue
+            still.append(j)
+            dj = _horner(dmonic, zj)
+            if dj == 0:
+                z[j] = zj + (1 + abs(zj)) / 997
+            else:
+                z[j] = zj - _aberth_step(pj / dj, z, j)
+        if not still:
+            # No root moved in this sweep, so values still holds p at each.
+            for j, pj in enumerate(values):
                 dj = _horner(dmonic, z[j])
-                if pj == 0:
-                    continue
-                if dj == 0:
-                    z[j] += stop + mp.mpf(1) / 997
-                    worst = 1 + worst
-                    continue
-                newton = pj / dj
-                acc = mp.mpc(0)
-                for k in range(n):
-                    if k != j:
-                        acc += 1 / (z[j] - z[k])
-                den = 1 - newton * acc
-                step = newton if den == 0 else newton / den
-                z[j] -= step
-                worst = max(worst, abs(step))
-            if worst < stop * (1 + max(abs(w) for w in z)):
-                return z
-    return None
+                if pj != 0 and dj != 0:
+                    z[j] -= _aberth_step(pj / dj, z, j)
+            return True
+        pending = still
+    return False
+
+
+def _aberth_step(newton, z, j):
+    # Aberth's correction of z[j] from its Newton step p/p'.
+    zj = z[j]
+    den = 1 - newton * sum(1 / (zj - zk) for k, zk in enumerate(z) if k != j)
+    return newton if den == 0 else newton / den
+
+
+def _circle(monic, offset: float, exp, pi) -> list:
+    # n points on a circle inside the Cauchy bound at a fixed angular offset.
+    n = len(monic) - 1
+    radius = 0.8 * (1 + max(abs(c) for c in monic[:-1]))
+    return [radius * exp(1j * (2 * pi * j / n + offset)) for j in range(n)]
+
+
+def _warm_start(cs, offset: float) -> Optional[list]:
+    """The roots to double precision by the same iteration in plain Python
+    complex arithmetic, from the circle; None when a coefficient leaves the
+    double range, the run does not settle, or two approximations coincide
+    or are not finite.  The run stops on the backward-error rule at
+    eps = 2^-53: for a simple root that is a relative step near 1e-14, and
+    unlike a step rule it also ends on clustered roots, whose steps stay
+    at the size of the rounding noise."""
+    lead = complex(cs[-1])
+    if lead == 0 or not cmath.isfinite(lead):
+        return None
+    monic = [complex(c) / lead for c in cs]
+    if any(not cmath.isfinite(w) or (w == 0) != (c == 0) for w, c in zip(monic, cs)):
+        return None
+    z = _circle(monic, offset, cmath.exp, math.pi)
+    try:
+        settled = _iterate(monic, z, 2.0**-53)
+    except (ZeroDivisionError, OverflowError):
+        return None
+    if not settled or not all(map(cmath.isfinite, z)) or len(set(z)) < len(z):
+        return None
+    return z
+
+
+def _aberth(cs, bits: int, offset: float):
+    """Roots of a polynomial with nonzero constant and leading coefficients,
+    ascending coefficients cs, by Aberth's simultaneous iteration with the
+    stopping rule and two-stage start of Bini, Numer. Algorithms 13 (1996).
+
+    A run in double-precision complex arithmetic, from points on a circle
+    inside the Cauchy bound at a fixed angular offset, supplies the
+    starting points; where it cannot (see _warm_start) the multiprecision
+    run starts from that circle itself.  The multiprecision run, at
+    bits + 16, accepts a root once its backward error is at most
+    c n 2^-bits sum |a_i| |z|^i and stops moving it; when every root is
+    accepted, one more full sweep polishes all of them, which leaves
+    well-conditioned roots exact to working precision (see _iterate).
+    Deterministic.  Returns the approximations, or None if ITERATION_CAP
+    sweeps do not suffice."""
+    start = _warm_start(cs, offset)
+    with mp.workprec(bits + 16):
+        monic = [c / cs[-1] for c in cs]
+        if start is None:
+            z = _circle(monic, offset, mp.exp, mp.pi)
+        else:
+            z = [mp.mpc(w.real, w.imag) for w in start]
+        return z if _iterate(monic, z, mp.mpf(2) ** -bits) else None
 
 
 def _roots_list(coeffs: Sequence, bits: int):

@@ -13,7 +13,9 @@ import sys
 
 import pytest
 
+from split244 import oracle
 from split244.cli import main
+from split244.errors import NonConvergence
 
 ANCHOR = ["analyze", "--a", "1", "--b", "1", "--c", "1"]
 
@@ -199,6 +201,54 @@ def test_family_isomorphic_branch_detected():
     assert rows[0]["s3"] == "-19.208571428571429"
     assert rows[0]["verdict"] == "isomorphic"
     assert rows[0]["j1"] == rows[0]["j2"]
+
+
+G5_FIBER = [
+    "family", "--component", "g5",
+    "--s2-min", "-10", "--s2-max", "-19/2", "--samples", "1",
+]
+
+
+def test_family_clustered_fiber_keeps_every_branch():
+    # F1's roots in s3 over the s4 ~ -558.15 branch are clustered; that
+    # branch used to be dropped on NonConvergence
+    code, rows, err = run_lines(G5_FIBER)
+    assert code == 0 and err == ""
+    branches = {r["s4"][:8] for r in rows}
+    assert "-558.150" in branches
+    assert len(branches) == 4
+
+
+@pytest.mark.parametrize(
+    "argv, fiber, count, passed",
+    [
+        # rational s4 = 625/2: every root solve is an F1 solve
+        (G1_WINDOW, "s2=25/2 s4=625/2:", 2, 0),
+        # irrational s4: the component's own s4 solve is let through
+        (G5_FIBER, "s2=-10 s4=", 4, 1),
+    ],
+    ids=["rational-s4", "mpmath-s4"],
+)
+def test_family_logs_each_skipped_fiber(monkeypatch, argv, fiber, count, passed):
+    # a fiber whose F1 solve fails gives no row on stdout and one line on
+    # stderr with (s2, s4) and the reason
+    solve = oracle.polynomial_roots
+    calls = []
+
+    def failing(coeffs, precision=None):
+        calls.append(coeffs)
+        if len(calls) <= passed:
+            return solve(coeffs, precision)
+        raise NonConvergence("forced")
+
+    monkeypatch.setattr(oracle, "polynomial_roots", failing)
+    code, out, err = run(argv)
+    assert code == 0 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == count
+    for line in lines:
+        assert line.startswith("split244: family: skipped fiber " + fiber)
+        assert line.endswith(": NonConvergence: forced")
 
 
 def test_family_empty_range_is_usage_error():

@@ -17,6 +17,7 @@ from split244.curves import Genus2Curve, UVPoint, genus2_from_uv
 from split244.errors import NonConvergence
 from split244.exact import UniPoly
 from split244.invariants import DihedralPoint, absolute_invariants, dihedral_invariants
+from split244.loci import F1_POLY
 from split244.subfields import j12_quadratic
 
 CAL_SEXTIC = [0, 1, 1, 1, 1, 1]
@@ -121,6 +122,46 @@ def test_repeated_roots_cluster_with_huge_condition():
     near_minus = sum(1 for r in rs if abs(r.value + 1) < 1e-6)
     assert (near_plus, near_minus) == (3, 3)
     assert all(r.condition > 1e6 for r in rs)
+
+
+def test_sixfold_root_converges_with_huge_condition():
+    # (x - 1)^6: no step-size rule settles on a sixfold root, the
+    # backward-error rule does
+    rs = oracle.roots(UniPoly([1, -6, 15, -20, 15, -6, 1]))
+    assert len(rs) == 6
+    assert all(abs(r.value - 1) < 1e-4 for r in rs)
+    assert all(r.condition > 1e6 for r in rs)
+
+
+def test_tiny_roots_keep_relative_accuracy():
+    # x^6 = 10^-400: the roots have modulus 10^(-200/3), far below any
+    # absolute step threshold of the working precision
+    rs = oracle.polynomial_roots([-F(1, 10**400), 0, 0, 0, 0, 0, 1])
+    assert len(rs) == 6
+    with mp.workprec(256):
+        modulus = mp.mpf(10) ** (mp.mpf(-200) / 3)
+        for r in rs:
+            assert abs(abs(r) / modulus - 1) < 1e-30
+            assert abs(r**6 * mp.mpf(10) ** 400 - 1) < 1e-30
+
+
+def test_clustered_f1_fiber_matches_mpmath():
+    # F1 in s3 at (s2, s4) = (13/3, 3/4): roots with condition numbers
+    # near 1e11
+    f = F1_POLY.restrict(2, (F(13, 3), F(3, 4)))
+    mine = oracle.polynomial_roots(f.coeffs)
+    with mp.workprec(256):
+        ref = mp.polyroots(
+            [mp.mpf(c.numerator) / c.denominator for c in reversed(f.coeffs)],
+            maxsteps=500,
+            extraprec=512,
+        )
+    ref = sorted(
+        ref, key=lambda w: (round(float(w.real), 10), round(float(w.imag), 10))
+    )
+    assert len(mine) == len(ref) == f.degree
+    for x, y in zip(mine, ref):
+        assert abs(x - y) < 1e-20 * (1 + abs(y))
 
 
 def test_constant_rejected():
